@@ -48,9 +48,13 @@ impl TenantReport {
     }
 
     /// Accounting identity: every submission is completed, rejected,
-    /// expired — nothing vanishes.
-    pub(crate) fn assert_conserved(&self) {
-        debug_assert_eq!(
+    /// expired — nothing vanishes. Checked in release builds too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the identity does not hold.
+    pub fn assert_conserved(&self) {
+        assert_eq!(
             self.submitted,
             self.completed + self.rejected + self.expired,
             "tenant {} lost submissions",
@@ -180,5 +184,13 @@ mod tests {
         for t in &sample().tenants {
             t.assert_conserved();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lost submissions")]
+    fn conservation_identity_is_checked_in_every_build() {
+        let mut t = sample().tenants.remove(0);
+        t.expired += 1;
+        t.assert_conserved();
     }
 }

@@ -175,7 +175,7 @@ impl ServiceSpec {
             match key {
                 "duration_ms" => {
                     let v: f64 = parse_word(words.next(), key, lineno + 1)?;
-                    if !(v > 0.0) {
+                    if v.is_nan() || v <= 0.0 {
                         return Err(err(format!("duration_ms must be positive, got {v}")));
                     }
                     spec.duration = SimSpan::from_ns((v * 1e6) as u64);
@@ -183,7 +183,7 @@ impl ServiceSpec {
                 }
                 "warmup_ms" => {
                     let v: f64 = parse_word(words.next(), key, lineno + 1)?;
-                    if !(v >= 0.0) {
+                    if v.is_nan() || v < 0.0 {
                         return Err(err(format!("warmup_ms must be non-negative, got {v}")));
                     }
                     spec.warmup = SimSpan::from_ns((v * 1e6) as u64);
@@ -234,7 +234,7 @@ impl ServiceSpec {
                             }
                         }
                     }
-                    if !(t.iops > 0.0) {
+                    if t.iops.is_nan() || t.iops <= 0.0 {
                         return Err(err(format!(
                             "tenant '{name}' needs a positive iops=…"
                         )));

@@ -11,8 +11,11 @@
 //!   submission is accounted: completed, rejected (explicit `Busy`), or
 //!   expired. Nothing is silently dropped.
 
+use dssd_kernel::SimSpan;
 use dssd_service::{serve, ServiceReport, ServiceSpec};
 use dssd_ssd::{Architecture, SsdConfig, SsdSim};
+use dssd_telemetry::chrome::chrome_trace_string;
+use dssd_telemetry::TraceConfig;
 
 fn tiny_sim() -> SsdSim {
     let mut sim = SsdSim::new(SsdConfig::test_tiny(Architecture::DssdFnoc));
@@ -22,12 +25,7 @@ fn tiny_sim() -> SsdSim {
 
 fn check_conservation(report: &ServiceReport) {
     for t in &report.tenants {
-        assert_eq!(
-            t.submitted,
-            t.completed + t.rejected + t.expired,
-            "tenant {} lost submissions: {t:?}",
-            t.name
-        );
+        t.assert_conserved();
         assert!(t.failed <= t.completed, "tenant {} failed > completed", t.name);
         assert!(t.latency.count() as u64 <= t.completed);
     }
@@ -102,6 +100,47 @@ fn service_run_is_replayable() {
     let (fp_b, json_b) = run();
     assert_eq!(fp_a, fp_b, "QoS service run is not replayable");
     assert_eq!(json_a, json_b);
+}
+
+/// The pacer steps the simulator with `run_until_before` at every
+/// submission instant. Those stepped runs keep the flash-side express
+/// path with epoch sampling and a span window armed, and must match
+/// the reference engine in every output: device state, tenant report,
+/// epoch series and trace bytes.
+#[test]
+fn observed_qos_run_matches_reference_engine() {
+    let spec = ServiceSpec::parse(
+        "duration_ms 4\nseed 17\nbacklog 192\n\
+         tenant a iops=120000 pages=4 read=0.3 rate=400000 burst=64 qd=48 weight=3\n\
+         tenant b iops=80000 pages=1 read=0.9 rate=100000 burst=16 qd=16\n",
+    )
+    .unwrap();
+    let run = |express: bool| {
+        let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+        cfg.gc_continuous = true;
+        cfg.flash_express = express;
+        let mut sim = SsdSim::new(cfg);
+        sim.enable_tracing(TraceConfig {
+            window: Some(SimSpan::from_ms(1)),
+            epoch: Some(SimSpan::from_ms(1)),
+        });
+        sim.prefill();
+        let mut report = serve(&spec, &mut sim);
+        check_conservation(&report);
+        let epochs = sim.epoch_series().expect("epoch sampling armed").to_jsonl_string();
+        let trace = chrome_trace_string(sim.tracer());
+        let coalesced = sim.flash_express_diag().0;
+        let shaped = report.tenants.iter().any(|t| t.throttled + t.rejected > 0);
+        assert!(shaped, "spec too light to exercise QoS: {:?}", report.tenants);
+        (fingerprint(&mut sim), report.to_json(), epochs, trace, coalesced)
+    };
+    let (fp, json, epochs, trace, coalesced) = run(true);
+    let reference = run(false);
+    assert!(coalesced > 0, "observed pacer run never took the express path");
+    assert_eq!(fp, reference.0, "express pacer run diverged");
+    assert_eq!(json, reference.1, "tenant reports diverged");
+    assert_eq!(epochs, reference.2, "epoch series diverged");
+    assert_eq!(trace, reference.3, "trace bytes diverged");
 }
 
 #[test]

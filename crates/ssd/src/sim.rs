@@ -506,6 +506,11 @@ impl ProgressMeter {
     }
 }
 
+/// The earliest instant after `t` (saturating at [`SimTime::MAX`]).
+fn just_after(t: SimTime) -> SimTime {
+    SimTime::from_ns(t.as_ns().saturating_add(1))
+}
+
 /// Fixed-interval sampling state for the telemetry epoch time-series.
 #[derive(Debug, Clone)]
 struct EpochProbe {
@@ -946,7 +951,8 @@ impl SsdSim {
     /// Flash-side express diagnostics: `(coalesced, demoted)` — leg
     /// events the chain walk executed without a queue round-trip, and
     /// continuations demoted to a normal push because a competing event
-    /// was due first. Strictly observational; both are 0 with
+    /// or the fence (the next observation instant, stepping target or
+    /// run end) came first. Strictly observational; both are 0 with
     /// `--no-flash-express`.
     #[must_use]
     pub fn flash_express_diag(&self) -> (u64, u64) {
@@ -1022,16 +1028,55 @@ impl SsdSim {
     /// original pop-then-break — the dropped pop is part of the golden
     /// `events_delivered` fingerprints.
     pub fn run_events(&mut self, limit: u64) -> RunState {
+        self.run_fenced(limit, None)
+    }
+
+    /// Steps until the next pending event would land after `t` (so the
+    /// state is exactly the full run's state at instant `t`). Returns
+    /// [`RunState::Paused`] on reaching `t` with events still pending.
+    pub fn run_until(&mut self, t: SimTime) -> RunState {
+        self.run_fenced(u64::MAX, Some(just_after(t)))
+    }
+
+    /// Steps until the next pending event would land at or after `t`:
+    /// the safe point to [`inject`](SsdSim::inject_arrival) an arrival
+    /// at `t`, because no event at `t` has popped yet — the arrival's
+    /// rank then places it exactly where a batch push would have.
+    /// Returns [`RunState::Paused`] with events at or after `t` still
+    /// pending.
+    pub fn run_until_before(&mut self, t: SimTime) -> RunState {
+        self.run_fenced(u64::MAX, Some(t))
+    }
+
+    /// The event loop behind every stepping call: at most `limit` events,
+    /// and, when `stop` is set, pausing before anything else (even on a
+    /// halted run) once the queue is empty or its next event is due at or
+    /// after `stop`.
+    ///
+    /// The express paths run under a *fence*: the earliest instant at
+    /// which the outer loop must look between two events (the next epoch
+    /// boundary, the armed power-loss instant, `stop`, the end of the
+    /// run). A continuation due at or after the fence is demoted to the
+    /// queue exactly like one that fails to strictly beat the queue
+    /// minimum, so the outer loop pops it and observes first.
+    /// `power_at_event` caps the walk length instead, so the count lands
+    /// on it exactly.
+    fn run_fenced(&mut self, limit: u64, stop: Option<SimTime>) -> RunState {
         let express = self.config.flash_express;
-        if self.halted {
-            return RunState::Halted;
-        }
         if let Some(n) = self.noc.as_mut() {
             n.set_quiet_credit_skip(express);
         }
         let mut progress = self.progress.then(ProgressMeter::new);
         let mut handled = 0u64;
         loop {
+            if let Some(s) = stop {
+                if self.queue.peek_time().is_none_or(|next| next >= s) {
+                    return RunState::Paused;
+                }
+            }
+            if self.halted {
+                return RunState::Halted;
+            }
             if handled >= limit {
                 return RunState::Paused;
             }
@@ -1063,86 +1108,35 @@ impl SsdSim {
                 p.tick(t, || queue.delivered() + lane + noc.map_or(0, |n| n.express_events()));
             }
             self.now = t;
-            match ev {
-                // Express burst: drain consecutive NoC events in one
-                // tight loop, skipping the per-event outer-loop checks.
-                // The queue stays the ordering authority (`pop_if`), so
-                // the event sequence is identical to the one-at-a-time
-                // path; disabled whenever the outer loop's per-event
-                // observations (power-loss instants, epoch sampling,
-                // progress ticks) must run.
-                Ev::Noc(nev)
-                    if express
-                        && self.power_at.is_none()
-                        && self.power_at_event.is_none()
-                        && self.epoch.is_none()
-                        && !self.progress =>
-                {
-                    let n = self.noc_burst(nev, limit - handled);
-                    self.events_handled += n;
-                    handled += n;
+            let fence = [self.epoch.as_ref().map(|e| e.next), self.power_at, stop]
+                .into_iter()
+                .flatten()
+                .fold(just_after(self.horizon), SimTime::min);
+            let max = match self.power_at_event {
+                Some(at) if at > self.events_handled => {
+                    (at - self.events_handled).min(limit - handled)
                 }
-                // Express chain walk: flash leg chains coalesce while
-                // each continuation provably beats the queue minimum.
-                // Same gate as the burst: any per-event outer-loop
-                // observation forces one-at-a-time execution.
-                ev if express
-                    && self.power_at.is_none()
-                    && self.power_at_event.is_none()
-                    && self.epoch.is_none()
-                    && !self.progress =>
-                {
-                    let n = self.chain_walk(ev, limit - handled);
-                    self.events_handled += n;
-                    handled += n;
-                }
+                _ => limit - handled,
+            };
+            // Express burst (consecutive NoC events) and chain walk
+            // (flash leg continuations): the queue stays the ordering
+            // authority, so the event sequence is the one-at-a-time one.
+            let n = match ev {
+                Ev::Noc(nev) if express => self.noc_burst(nev, max, fence),
+                ev if express => self.chain_walk(ev, max, fence),
                 ev => {
                     self.handle(ev);
-                    self.events_handled += 1;
-                    handled += 1;
-                    if self.power_at_event == Some(self.events_handled) {
-                        self.power_loss();
-                        return RunState::Halted;
-                    }
+                    1
                 }
+            };
+            self.events_handled += n;
+            handled += n;
+            if self.power_at_event == Some(self.events_handled) {
+                self.power_loss();
+                return RunState::Halted;
             }
         }
         RunState::Done
-    }
-
-    /// Steps until the next pending event would land after `t` (so the
-    /// state is exactly the full run's state at instant `t`). Returns
-    /// [`RunState::Paused`] on reaching `t` with events still pending.
-    pub fn run_until(&mut self, t: SimTime) -> RunState {
-        loop {
-            match self.queue.peek_time() {
-                Some(next) if next <= t => {}
-                _ => return RunState::Paused,
-            }
-            match self.run_events(1) {
-                RunState::Paused => {}
-                done => return done,
-            }
-        }
-    }
-
-    /// Steps until the next pending event would land at or after `t`:
-    /// the safe point to [`inject`](SsdSim::inject_arrival) an arrival
-    /// at `t`, because no event at `t` has popped yet — the arrival's
-    /// rank then places it exactly where a batch push would have.
-    /// Returns [`RunState::Paused`] with events at or after `t` still
-    /// pending.
-    pub fn run_until_before(&mut self, t: SimTime) -> RunState {
-        loop {
-            match self.queue.peek_time() {
-                Some(next) if next < t => {}
-                _ => return RunState::Paused,
-            }
-            match self.run_events(1) {
-                RunState::Paused => {}
-                done => return done,
-            }
-        }
     }
 
     /// Finalizes a stepped run: closes epoch sampling and fills the
@@ -2029,16 +2023,16 @@ impl SsdSim {
     /// The execution order is bit-identical to the event-at-a-time loop
     /// by construction: the calendar queue stays the ordering authority
     /// (`pop_if` only accepts the true minimum when it is a NoC event
-    /// within the horizon), the burst merely keeps the NoC step buffer
+    /// before the fence), the burst merely keeps the NoC step buffer
     /// and the `self.noc` borrow hot across the run instead of paying
-    /// the full outer-loop dispatch per event.
+    /// the full outer-loop dispatch per event. Nothing at or after
+    /// `fence` is taken: the outer loop pops it.
     ///
     /// Returns the number of events handled (at least 1, at most `max`).
-    fn noc_burst(&mut self, first: NocEvent, max: u64) -> u64 {
+    fn noc_burst(&mut self, first: NocEvent, max: u64, fence: SimTime) -> u64 {
         let mut step = std::mem::take(&mut self.noc_step);
         let mut ev = first;
         let mut n = 0u64;
-        let horizon = self.horizon;
         loop {
             self.noc
                 .as_mut()
@@ -2074,7 +2068,7 @@ impl SsdSim {
                 let t0 = step.schedule[idx].0;
                 let unique =
                     step.schedule.iter().enumerate().all(|(i, s)| i == idx || s.0 > t0);
-                if t0 <= horizon {
+                if t0 < fence {
                     if unique {
                         // Strictly earliest among its siblings: safe to
                         // defer — even if demoted, time order (not FIFO)
@@ -2123,7 +2117,8 @@ impl SsdSim {
             match cand {
                 Some((t, e)) => {
                     // Pop the queue head only when it is due at or
-                    // before the candidate (it owns any tie).
+                    // before the candidate (it owns any tie), hence
+                    // before the fence too.
                     let mut blocked = false;
                     let popped = self.queue.pop_if(|qt, qe| {
                         if qt > t {
@@ -2157,7 +2152,7 @@ impl SsdSim {
                 }
                 None => match self
                     .queue
-                    .pop_if(|t, e| t <= horizon && matches!(e, Ev::Noc(_)))
+                    .pop_if(|t, e| t < fence && matches!(e, Ev::Noc(_)))
                 {
                     Some((t, Ev::Noc(next))) => {
                         self.now = t;
@@ -2214,8 +2209,12 @@ impl SsdSim {
     /// digest, and progress ticks — express and non-express runs report
     /// identical totals.
     ///
+    /// A continuation due at or after `fence` is demoted the same way.
+    /// The fence is at most just past the horizon, so the walk never
+    /// crosses the end of the run.
+    ///
     /// Returns the number of events handled (at least 1, at most `max`).
-    fn chain_walk(&mut self, first: Ev, max: u64) -> u64 {
+    fn chain_walk(&mut self, first: Ev, max: u64, fence: SimTime) -> u64 {
         let mut ev = first;
         let mut n = 0u64;
         loop {
@@ -2224,11 +2223,8 @@ impl SsdSim {
             self.chain_armed = false;
             n += 1;
             let Some((t, next)) = self.chain_next.take() else { break };
-            let beaten = match self.queue.peek_time() {
-                Some(q) => q <= t,
-                None => false,
-            };
-            if beaten || t > self.horizon || n >= max {
+            let beaten = t >= fence || self.queue.peek_time().is_some_and(|q| q <= t);
+            if beaten || n >= max {
                 if beaten {
                     self.chain_demoted += 1;
                 }

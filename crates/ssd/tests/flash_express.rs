@@ -9,12 +9,18 @@
 //! credit-stall counts must be byte-identical across every
 //! architecture, workload mix, seed, fault class, and power-loss
 //! placement — and a snapshot taken inside an express window must
-//! restore to a byte-identical continuation.
+//! restore to a byte-identical continuation. With observers armed
+//! (epoch sampling, a span window, power-loss points) the express path
+//! stays on, and the epoch series, trace bytes and recovery report must
+//! match the reference engine too.
 
 use dssd_kernel::{SimSpan, SimTime};
 use dssd_ssd::{
-    Architecture, DurabilityConfig, FaultConfig, RunPlan, RunState, SimSnapshot, SsdConfig, SsdSim,
+    Architecture, DurabilityConfig, FaultConfig, RecoveryReport, RunPlan, RunState, SimSnapshot,
+    SsdConfig, SsdSim,
 };
+use dssd_telemetry::chrome::write_chrome_trace;
+use dssd_telemetry::TraceConfig;
 use dssd_workload::{AccessPattern, SyntheticWorkload};
 
 /// Order-sensitive digest of a finished run: live-state digest, both
@@ -109,38 +115,137 @@ fn fault_and_retry_paths_are_bit_identical() {
     }
 }
 
-/// Power loss armed at a simulated instant or an exact event count
-/// disables the express fast paths wholesale (a coalesced chain could
-/// step over the loss instant), so both runs must execute — and crash —
-/// event-for-event identically, then recover to identical state.
+/// Everything an observer sees of a finished run.
+struct Observed {
+    fingerprint: String,
+    epochs: String,
+    trace: Vec<u8>,
+    recovery: Option<RecoveryReport>,
+    /// `flash_express_diag().0`: leg events the express path coalesced.
+    coalesced: u64,
+}
+
+/// A prefilled GC-heavy sim with epoch sampling every `epoch` and a 1 ms
+/// span window armed.
+fn traced(mut cfg: SsdConfig, epoch: SimSpan, express: bool) -> SsdSim {
+    cfg.gc_continuous = true;
+    cfg.flash_express = express;
+    let mut sim = SsdSim::new(cfg);
+    sim.enable_tracing(TraceConfig { window: Some(SimSpan::from_ms(1)), epoch: Some(epoch) });
+    sim.prefill();
+    sim
+}
+
+fn writes() -> SyntheticWorkload {
+    SyntheticWorkload::writes(AccessPattern::Random, 8)
+}
+
+/// A traced 8-page random write run of `ms`.
+fn observed(cfg: SsdConfig, epoch: SimSpan, ms: u64, express: bool) -> Observed {
+    let mut sim = traced(cfg, epoch, express);
+    sim.run_closed_loop(writes(), SimSpan::from_ms(ms));
+    let mut trace = Vec::new();
+    write_chrome_trace(sim.tracer(), &mut trace).expect("in-memory trace write");
+    Observed {
+        epochs: sim.epoch_series().expect("epoch sampling armed").to_jsonl_string(),
+        trace,
+        recovery: sim.report().recovery,
+        coalesced: sim.flash_express_diag().0,
+        fingerprint: fingerprint(&mut sim),
+    }
+}
+
+/// Runs `cfg` observed with express on and off, asserts every observable
+/// matches, and returns the express run.
+fn assert_observed_identical(cfg: &SsdConfig, epoch: SimSpan, ms: u64, what: &str) -> Observed {
+    let on = observed(cfg.clone(), epoch, ms, true);
+    let off = observed(cfg.clone(), epoch, ms, false);
+    assert_eq!(on.fingerprint, off.fingerprint, "{what}: fingerprint diverged");
+    assert_eq!(on.epochs, off.epochs, "{what}: epoch series diverged");
+    assert!(on.trace == off.trace, "{what}: Chrome-trace bytes diverged");
+    assert_eq!(on.recovery, off.recovery, "{what}: recovery report diverged");
+    assert_eq!(off.coalesced, 0, "{what}: reference engine coalesced");
+    on
+}
+
+/// Epoch sampling and a span window are fences, not kill switches: the
+/// chain walk and the NoC burst keep running between epoch boundaries,
+/// and the series, the trace and the report match the reference engine.
+/// The 7 us interval puts a boundary inside many chains.
+#[test]
+fn epoch_sampling_and_span_window_keep_the_express_path() {
+    for arch in [Architecture::Dssd, Architecture::DssdFnoc] {
+        for every in [SimSpan::from_ms(1), SimSpan::from_ms(2), SimSpan::from_us(7)] {
+            let what = format!("{}/epoch {every}", arch.label());
+            let on = assert_observed_identical(&SsdConfig::test_tiny(arch), every, 5, &what);
+            assert!(on.coalesced > 0, "{what}: epochs turned the express path off");
+            let rows = SimSpan::from_ms(5).as_ns() / every.as_ns();
+            assert_eq!(on.epochs.lines().count() as u64, rows, "{what}: epoch rows");
+        }
+    }
+}
+
+/// `test_tiny(arch)` with the durability model on, then adjusted by `f`.
+fn durable(arch: Architecture, f: impl FnOnce(&mut SsdConfig)) -> SsdConfig {
+    let mut cfg = SsdConfig::test_tiny(arch);
+    cfg.durability = Some(DurabilityConfig::default());
+    f(&mut cfg);
+    cfg
+}
+
+/// A chain walk that crosses simulated time, found by forking a stepped
+/// express run before every event: `(n, t)` where the walk that pops
+/// event `n` runs its next leg in-lane at a later instant `t`. Power
+/// loss after event `n` or at `t` must stop the walk there; a walk
+/// without the cap or the fence would step over the cut.
+fn walk_across_time(arch: Architecture) -> (u64, SimTime) {
+    let mut mother = traced(durable(arch, |_| {}), SimSpan::from_ms(1), true);
+    mother.begin_closed_loop(writes(), SimSpan::from_ms(3));
+    loop {
+        let mut fork = mother.clone();
+        assert_eq!(mother.run_events(1), RunState::Paused, "no chain walk across time");
+        let lane = fork.flash_express_diag().0;
+        fork.run_events(2);
+        if fork.flash_express_diag().0 > lane && fork.now() > mother.now() {
+            return (mother.events_handled(), fork.now());
+        }
+    }
+}
+
+/// Power loss armed at a simulated instant, an exact event count or a
+/// drawn instant, with one count and one instant cutting a chain walk
+/// (the instant is that of the walk's next in-lane event): the walk and
+/// the burst stop at the power-loss instant and at the ordinal, so both
+/// runs crash at the same point, with the same epoch rows and trace, and
+/// recover to the same state.
 #[test]
 fn power_loss_placements_are_bit_identical() {
-    let run_loss = |express: bool, at_event: u64| {
-        let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
-        cfg.gc_continuous = true;
-        cfg.durability = Some(DurabilityConfig::default());
-        if at_event > 0 {
-            cfg.power_loss.at_event = at_event;
-        } else {
-            cfg.power_loss.at = SimTime::ZERO + SimSpan::from_ms(1) + SimSpan::from_ns(337);
-        }
-        cfg.flash_express = express;
-        let mut sim = SsdSim::new(cfg);
-        sim.prefill();
-        sim.run_closed_loop(SyntheticWorkload::writes(AccessPattern::Random, 8), SimSpan::from_ms(3));
-        let rec = sim.report().recovery.clone().expect("armed loss must report recovery");
-        assert!(rec.invariants_hold(), "recovery invariants violated");
-        fingerprint(&mut sim)
-    };
-    // Mid-run wall-clock placement (lands inside express windows) and
-    // two exact event-count placements.
-    assert_eq!(run_loss(true, 0), run_loss(false, 0), "power-loss-at-time diverged");
+    let fnoc = Architecture::DssdFnoc;
+    let at = SimTime::ZERO + SimSpan::from_ms(1) + SimSpan::from_ns(337);
+    let mut placements = vec![
+        (format!("at {at}"), durable(fnoc, |c| c.power_loss.at = at)),
+        (
+            "mean time to loss 2 ms".to_string(),
+            durable(fnoc, |c| c.power_loss.mean_time_to_loss = SimSpan::from_ms(2)),
+        ),
+    ];
     for at_event in [5_000, 12_345] {
-        assert_eq!(
-            run_loss(true, at_event),
-            run_loss(false, at_event),
-            "power-loss-at-event {at_event} diverged"
-        );
+        placements.push((
+            format!("at event {at_event}"),
+            durable(fnoc, |c| c.power_loss.at_event = at_event),
+        ));
+    }
+    let walk = Architecture::Dssd;
+    let (inside, at) = walk_across_time(walk);
+    placements.push((
+        format!("at event {inside}, inside a walk"),
+        durable(walk, |c| c.power_loss.at_event = inside),
+    ));
+    placements.push((format!("at {at}, inside a walk"), durable(walk, |c| c.power_loss.at = at)));
+    for (what, cfg) in &placements {
+        let on = assert_observed_identical(cfg, SimSpan::from_ms(1), 3, what);
+        let rec = on.recovery.expect("armed loss must strike inside the run");
+        assert!(rec.invariants_hold(), "{what}: recovery invariants violated");
     }
 }
 

@@ -124,7 +124,7 @@ fn power_loss_placements_are_bit_identical_across_shards() {
         let mut sim = SsdSim::new(cfg.with_shards(shards));
         sim.prefill();
         sim.run_closed_loop(SyntheticWorkload::writes(AccessPattern::Random, 8), SimSpan::from_ms(3));
-        let rec = sim.report().recovery.clone().expect("armed loss must report recovery");
+        let rec = sim.report().recovery.expect("armed loss must report recovery");
         assert!(rec.invariants_hold(), "recovery invariants violated");
         fingerprint(&mut sim)
     };

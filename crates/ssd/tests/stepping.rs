@@ -9,8 +9,8 @@
 //! in tier 1; the `proptest` variant explores adversarial granularity
 //! sequences when the optional dev-dependency is restored.
 
-use dssd_kernel::{Rng, SimSpan};
-use dssd_ssd::{Architecture, RunState, SsdConfig, SsdSim};
+use dssd_kernel::{Rng, SimSpan, SimTime};
+use dssd_ssd::{Architecture, DurabilityConfig, RunState, SsdConfig, SsdSim};
 use dssd_workload::{open_loop_schedule, AccessPattern, SyntheticWorkload};
 
 fn tiny_sim() -> SsdSim {
@@ -135,6 +135,112 @@ fn live_injection_between_steps_matches_upfront_push() {
     live.run_events(u64::MAX);
     live.finish_run();
     assert_eq!(fingerprint(&mut live), want, "live injection perturbed the run");
+}
+
+/// A target equal to a pending event's instant: `run_until_before(t)`
+/// pops nothing at `t`, `run_until(t)` pops everything at `t` and
+/// nothing later. Arrivals are the pending events whose instants are
+/// known up front. The express engine must pause in exactly the
+/// reference engine's state at every target.
+#[test]
+fn targets_tied_with_pending_events_pause_like_the_reference_engine() {
+    let plan = open_loop_plan();
+    let mut instants: Vec<SimTime> = plan.iter().map(|&(t, _)| t).collect();
+    instants.dedup();
+
+    let mut batch = tiny_sim();
+    batch.run_trace(plan.clone(), SimSpan::from_ms(4));
+    let want = fingerprint(&mut batch);
+
+    let armed = |express: bool| {
+        let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+        cfg.flash_express = express;
+        let mut sim = SsdSim::new(cfg);
+        sim.prefill();
+        sim.begin_open_loop(SimSpan::from_ms(4));
+        for (t, r) in plan.clone() {
+            sim.inject_arrival(t, r);
+        }
+        sim
+    };
+    let (mut express, mut reference) = (armed(true), armed(false));
+    for &t in instants.iter().step_by(7).take(60) {
+        for sim in [&mut express, &mut reference] {
+            assert_eq!(sim.run_until_before(t), RunState::Paused);
+            assert!(sim.now() < t, "run_until_before({t}) popped an event at {}", sim.now());
+            let handled = sim.events_handled();
+            assert_eq!(sim.run_until_before(t), RunState::Paused);
+            assert_eq!(sim.events_handled(), handled, "a repeated run_until_before moved");
+        }
+        assert_eq!(express.state_digest(), reference.state_digest(), "before {t}");
+        for sim in [&mut express, &mut reference] {
+            assert_eq!(sim.run_until(t), RunState::Paused);
+            assert_eq!(sim.now(), t, "run_until({t}) missed the arrival due at {t}");
+        }
+        assert_eq!(express.state_digest(), reference.state_digest(), "until {t}");
+    }
+    assert!(express.flash_express_diag().0 > 0, "stepped runs never took the express path");
+    express.run_events(u64::MAX);
+    express.finish_run();
+    assert_eq!(fingerprint(&mut express), want, "tied stepping perturbed the run");
+}
+
+/// With nothing pending, both calls pause without handling an event and
+/// before the power-loss check, as does a pending event past the
+/// target: the armed loss strikes only once the loop runs on.
+#[test]
+fn empty_queue_and_far_event_pause_before_the_power_loss_check() {
+    let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+    cfg.durability = Some(DurabilityConfig::default());
+    cfg.power_loss.at = SimTime::ZERO + SimSpan::from_ms(1);
+    let target = SimTime::ZERO + SimSpan::from_ms(2);
+
+    let mut sim = SsdSim::new(cfg.clone());
+    sim.prefill();
+    sim.begin_open_loop(SimSpan::from_ms(4));
+    assert_eq!(sim.run_until(target), RunState::Paused);
+    assert_eq!(sim.run_until_before(target), RunState::Paused);
+    assert_eq!(sim.run_until(SimTime::MAX), RunState::Paused);
+    assert!(!sim.halted() && sim.events_handled() == 0, "an empty queue moved the loop");
+    assert_eq!(sim.run_events(u64::MAX), RunState::Halted);
+    assert_eq!(sim.now(), SimTime::ZERO + SimSpan::from_ms(1));
+    // Halted, with nothing due before the target: still a pause.
+    assert_eq!(sim.run_until(target), RunState::Paused);
+    assert_eq!(sim.run_events(1), RunState::Halted);
+
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    sim.begin_open_loop(SimSpan::from_ms(4));
+    let (far, r) = open_loop_plan().into_iter().find(|&(t, _)| t > target).expect("late arrival");
+    sim.inject_arrival(far, r);
+    assert_eq!(sim.run_until(target), RunState::Paused);
+    assert_eq!(sim.run_until_before(far), RunState::Paused);
+    assert!(!sim.halted() && sim.events_handled() == 0, "a far event moved the loop");
+    assert_eq!(sim.run_until(far), RunState::Halted);
+}
+
+/// A target at `SimTime::MAX` saturates instead of overflowing: both
+/// calls run the whole closed-loop run out, including the one
+/// beyond-horizon pop, exactly like `run_events(u64::MAX)`.
+#[test]
+fn targets_at_the_end_of_time_saturate() {
+    let wl = || SyntheticWorkload::writes(AccessPattern::Random, 8);
+    let mut batch = tiny_sim();
+    batch.run_closed_loop(wl(), SimSpan::from_ms(2));
+    let want = fingerprint(&mut batch);
+
+    for before in [false, true] {
+        let mut sim = tiny_sim();
+        sim.begin_closed_loop(wl(), SimSpan::from_ms(2));
+        let state = if before {
+            sim.run_until_before(SimTime::MAX)
+        } else {
+            sim.run_until(SimTime::MAX)
+        };
+        assert_eq!(state, RunState::Done);
+        sim.finish_run();
+        assert_eq!(fingerprint(&mut sim), want, "run_until(before={before}) at MAX diverged");
+    }
 }
 
 #[cfg(feature = "proptest")]
