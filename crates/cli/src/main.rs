@@ -13,10 +13,9 @@
 //!                     [--trace-out FILE] [--trace-window MS] [--trace-summary]
 //!                     [--epoch-out FILE] [--epoch-ms MS]
 //!                     [--progress] [--no-noc-express] [--no-flash-express]
-//!                     [--shards N]
 //! dssd-cli sweep      [--arch all|dssd_f] [--factors 1.0,1.5,2.0] [--jobs N]
 //!                     [--pages 8] [--ms 5] [--seed N] [--gc-continuous]
-//!                     [--shards N] [--json FILE]
+//!                     [--json FILE]
 //! dssd-cli trace      --volume prn_0 --arch baseline [--speedup 10] [--ms 40]
 //!                     [--trace-out FILE] [--trace-window MS] [--trace-summary]
 //!                     [--epoch-out FILE] [--epoch-ms MS]
@@ -80,11 +79,13 @@
 //! for the flash-side express path (analytic leg-chain coalescing, the
 //! NoC event burst loop, and the quiet-router sweep skip — DESIGN.md
 //! §13): byte-identical output, one-event-at-a-time execution.
-//! `--shards N` (default 1) runs the intra-run sharded engine: the
-//! future-event list is split across N per-shard queues by home
-//! resource (channel blocks, fNoC regions) and merged back in exact
-//! global order (DESIGN.md §14) — stdout is byte-identical for every
-//! N, so shard count is a performance knob, never a results knob.
+//!
+//! `run`, `trace`, `serve` and `crashpoints` share the device flags
+//! (`--arch`, `--seed`, `--srt-remaps N`, `--onchip-factor F`, the
+//! express switches) and the fault and durability flags (`crashpoints`
+//! takes no power-loss flag); `run`, `trace` and `serve` share the
+//! telemetry flags. Any `--flag` a subcommand does not read is an
+//! error, so a typo cannot silently run the default.
 
 mod args;
 
@@ -151,6 +152,33 @@ fn parse_arch(s: &str) -> Result<Architecture, ArgError> {
     }
 }
 
+/// Value flags read by [`build_config`] itself.
+const CONFIG_KEYS: &[&str] = &["arch", "seed", "srt-remaps", "onchip-factor"];
+/// Switches read by [`build_config`] and [`build_durability`].
+const CONFIG_SWITCHES: &[&str] = &["durable", "gc-continuous", "no-flash-express", "no-noc-express"];
+/// Value flags read by [`build_faults`].
+const FAULT_KEYS: &[&str] = &[
+    "fault-read-transient",
+    "fault-read-hard",
+    "fault-program",
+    "fault-erase",
+    "fault-noc",
+    "fault-max-retries",
+    "fault-retry-success",
+];
+/// Value flags read by [`build_durability`]; any of them implies `--durable`.
+const DURABILITY_KEYS: &[&str] = &[
+    "journal-entries",
+    "ckpt-interval-pages",
+    "power-loss-ms",
+    "power-loss-event",
+    "power-loss-mttf-ms",
+];
+/// Value flags read by [`trace_config`] and [`write_trace_outputs`].
+const TRACE_KEYS: &[&str] = &["trace-out", "trace-window", "epoch-out", "epoch-ms"];
+/// Switches read by [`trace_config`] and [`write_trace_outputs`].
+const TRACE_SWITCHES: &[&str] = &["trace-summary"];
+
 fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
     let arch = parse_arch(flags.get("arch").unwrap_or("dssd_f"))?;
     let mut cfg = SsdConfig::test_tiny(arch);
@@ -174,8 +202,6 @@ fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
         // §13): fall back to one-event-at-a-time execution.
         cfg.flash_express = false;
     }
-    let shards = flags.get_or("shards", 1usize)?;
-    cfg = cfg.with_shards(shards);
     if let Err(e) = cfg.validate() {
         return Err(ArgError(e));
     }
@@ -186,11 +212,7 @@ fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
 /// `--durable`; with none given the config is untouched, so default runs
 /// stay bit-identical to the pre-durability simulator.
 fn build_durability(flags: &Flags, cfg: &mut SsdConfig) -> Result<(), ArgError> {
-    let wants = flags.switch("durable")
-        || ["journal-entries", "ckpt-interval-pages", "power-loss-ms", "power-loss-event",
-            "power-loss-mttf-ms"]
-        .iter()
-        .any(|k| flags.get(k).is_some());
+    let wants = flags.switch("durable") || DURABILITY_KEYS.iter().any(|k| flags.get(k).is_some());
     if !wants {
         return Ok(());
     }
@@ -448,7 +470,7 @@ fn print_trace_summary(sim: &mut SsdSim) {
 /// export (flat numeric objects, uniform columns, strictly increasing
 /// `t_ms`). CI runs both on freshly exported files.
 fn cmd_validate(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &[])?;
+    let flags = Flags::parse(rest, &[&["trace", "epochs", "service"]], &[])?;
     if flags.get("trace").is_none()
         && flags.get("epochs").is_none()
         && flags.get("service").is_none()
@@ -495,7 +517,17 @@ fn cmd_validate(rest: &[String]) -> Result<(), ArgError> {
 /// and verify the mount recovers with both invariants intact. Exits
 /// non-zero on any violation.
 fn cmd_crashpoints(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &["gc-continuous", "no-flash-express", "no-noc-express"])?;
+    let flags = Flags::parse(
+        rest,
+        // The sweep places its own power losses, so the power-loss
+        // keys of DURABILITY_KEYS are not accepted here.
+        &[
+            CONFIG_KEYS,
+            FAULT_KEYS,
+            &["journal-entries", "ckpt-interval-pages", "pages", "ms", "stride", "seeds"],
+        ],
+        &[CONFIG_SWITCHES],
+    )?;
     let mut base = build_config(&flags)?;
     if base.durability.is_none() {
         base.durability = Some(DurabilityConfig::default());
@@ -569,16 +601,13 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
     let flags = Flags::parse(
         rest,
         &[
-            "dram-hit",
-            "durable",
-            "gc-continuous",
-            "no-flash-express",
-            "no-noc-express",
-            "no-prefill",
-            "progress",
-            "reads",
-            "trace-summary",
+            CONFIG_KEYS,
+            FAULT_KEYS,
+            DURABILITY_KEYS,
+            TRACE_KEYS,
+            &["pages", "ms", "qd", "pattern", "resume", "snapshot-at-ms", "snapshot-out"],
         ],
+        &[CONFIG_SWITCHES, TRACE_SWITCHES, &["dram-hit", "no-prefill", "progress", "reads"]],
     )?;
     let cfg = build_config(&flags)?;
     let tracing = trace_config(&flags)?;
@@ -661,7 +690,11 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
 /// be diffed across `--jobs` settings; CI does exactly that. Wall-clock
 /// times are only recorded in the optional `--json` output.
 fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &["gc-continuous"])?;
+    let flags = Flags::parse(
+        rest,
+        &[&["arch", "factors", "jobs", "pages", "ms", "seed", "json"]],
+        &[&["gc-continuous"]],
+    )?;
     let jobs = flags.get_or("jobs", 0usize)?; // 0 = all available cores
     let ms = flags.get_or("ms", 5u64)?;
     let pages = flags.get_or("pages", 8u32)?;
@@ -693,7 +726,6 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
             if factor > 1.0 {
                 cfg = cfg.with_onchip_factor(factor);
             }
-            cfg = cfg.with_shards(flags.get_or("shards", 1usize)?);
             let label = format!("{}/x{factor}", arch.label());
             let mut p = SweepPoint::writes(label, cfg, SimSpan::from_ms(ms));
             p.request_pages = pages;
@@ -726,10 +758,10 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
 }
 
 fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
-    let flags =
-        Flags::parse(
+    let flags = Flags::parse(
         rest,
-        &["gc-continuous", "no-flash-express", "no-noc-express", "progress", "trace-summary"],
+        &[CONFIG_KEYS, FAULT_KEYS, DURABILITY_KEYS, TRACE_KEYS, &["ms", "speedup", "csv", "volume"]],
+        &[CONFIG_SWITCHES, TRACE_SWITCHES, &["progress"]],
     )?;
     let mut cfg = build_config(&flags)?;
     cfg.gc_continuous = true;
@@ -784,7 +816,8 @@ fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
 fn cmd_serve(rest: &[String]) -> Result<(), ArgError> {
     let flags = Flags::parse(
         rest,
-        &["batch", "gc-continuous", "no-flash-express", "no-noc-express", "progress", "trace-summary"],
+        &[CONFIG_KEYS, FAULT_KEYS, DURABILITY_KEYS, TRACE_KEYS, &["spec", "report"]],
+        &[CONFIG_SWITCHES, TRACE_SWITCHES, &["batch", "progress"]],
     )?;
     let cfg = build_config(&flags)?;
     let tracing = trace_config(&flags)?;
@@ -836,7 +869,22 @@ fn cmd_serve(rest: &[String]) -> Result<(), ArgError> {
 }
 
 fn cmd_endurance(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &[])?;
+    let flags = Flags::parse(
+        rest,
+        &[&[
+            "policy",
+            "superblocks",
+            "sigma",
+            "mean",
+            "srt",
+            "reserved",
+            "seed",
+            "journal-entries",
+            "ckpt-interval-pages",
+            "power-loss-fills",
+        ]],
+        &[],
+    )?;
     let mut cfg = EnduranceConfig::paper_tlc();
     cfg.superblocks = flags.get_or("superblocks", cfg.superblocks)?;
     cfg.pe_sigma = flags.get_or("sigma", cfg.pe_sigma)?;
@@ -904,7 +952,11 @@ fn cmd_endurance(rest: &[String]) -> Result<(), ArgError> {
 }
 
 fn cmd_noc(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &["no-noc-express"])?;
+    let flags = Flags::parse(
+        rest,
+        &[&["topology", "terminals", "pattern", "load-mbps", "ms", "bisection", "buffer", "seed"]],
+        &[&["no-noc-express"]],
+    )?;
     let topology = match flags.get("topology").unwrap_or("mesh") {
         "mesh" | "mesh1d" => TopologyKind::Mesh1D,
         "ring" => TopologyKind::Ring,

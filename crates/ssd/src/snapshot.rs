@@ -19,7 +19,10 @@ use dssd_workload::SyntheticWorkload;
 use crate::{RunState, SsdConfig, SsdSim};
 
 const MAGIC: &[u8; 8] = b"DSSDSNAP";
-const VERSION: u32 = 1;
+/// Format version. v2 dropped the event-queue shard count from
+/// [`SsdConfig`]; that changed the config fingerprint, so a v1 file is
+/// refused by version rather than reported as a config mismatch.
+const VERSION: u32 = 2;
 
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -48,13 +51,7 @@ impl RunPlan {
 }
 
 fn config_fingerprint(config: &SsdConfig) -> u64 {
-    // The shard count selects an execution engine, not a simulated
-    // machine — results are byte-identical for every value — so it is
-    // normalized out of the fingerprint: a snapshot taken under
-    // `--shards 4` restores under `--shards 1` and vice versa.
-    let mut canon = config.clone();
-    canon.shards = 1;
-    fnv(format!("{canon:?}").as_bytes())
+    fnv(format!("{config:?}").as_bytes())
 }
 
 /// A point-in-time capture of a stepped run; see the [module
@@ -215,6 +212,20 @@ mod tests {
         let mut foreign = bytes.clone();
         foreign[8] = b'X';
         assert!(SimSnapshot::from_bytes(&foreign).is_err());
+    }
+
+    /// A v1 file (written before the shard count left the config) gets
+    /// the version error, whole or truncated at any byte, never a panic.
+    #[test]
+    fn v1_snapshot_is_refused_by_version() {
+        let mut bytes = SimSnapshot::capture(&paused_sim(), &plan()).to_bytes();
+        // MAGIC is length-prefixed (8-byte length + 8 bytes); the version follows.
+        bytes[16..20].copy_from_slice(&1u32.to_le_bytes());
+        let err = SimSnapshot::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err.message, "snapshot format v1, this build reads v2");
+        for len in 0..bytes.len() {
+            assert!(SimSnapshot::from_bytes(&bytes[..len]).is_err());
+        }
     }
 
     #[test]
